@@ -1,7 +1,7 @@
 // Command benchdiff maintains and inspects the repo's perf trajectory:
 // BENCH_compile.json holds one benchjson snapshot per PR (append, don't
-// overwrite), and benchdiff compares consecutive entries' ns/op so a
-// regression shows up as a warning in the PR that introduced it.
+// overwrite), and benchdiff compares consecutive entries' ns/op, B/op and
+// allocs/op so a regression shows up in the PR that introduced it.
 //
 // Usage:
 //
@@ -9,27 +9,32 @@
 //
 // With no mode flag, compares the last two entries of TRAJECTORY (a JSON
 // array of benchjson reports; a legacy single-report file counts as one
-// entry) and prints a per-benchmark delta table. Deltas past -threshold
-// are flagged as regressions; the exit status stays 0 unless -gate is set,
-// because benchmark numbers are only comparable on an idle identical host
-// and CI runners are neither.
+// entry) and prints a per-benchmark delta table. B/op and allocs/op do not
+// depend on host speed, so a rise past 5% is a real change in what the code
+// allocates; -gate makes those rises fail. ns/op past -threshold is flagged
+// as a warning only, because it is comparable only on an idle identical
+// host and CI runners are neither.
 //
 // Flags:
 //
-//	-new FILE       compare FILE's last snapshot against TRAJECTORY's last
-//	                entry instead of comparing TRAJECTORY's last two
-//	-append FILE    append FILE's snapshots to TRAJECTORY (creating it, or
-//	                converting a legacy single-report file) and exit
-//	-threshold PCT  ns/op increase that counts as a regression (default 10)
-//	-gate           exit 1 when any benchmark regresses past the threshold
+//	-new FILE           compare FILE's last snapshot against TRAJECTORY's
+//	                    last entry instead of comparing TRAJECTORY's last two
+//	-append FILE        append FILE's snapshots to TRAJECTORY (creating it,
+//	                    or converting a legacy single-report file) and exit
+//	-threshold PCT      ns/op increase that is warned about (default 10)
+//	-gate               exit 1 when any benchmark's B/op or allocs/op
+//	                    rises more than 5%
 package main
 
 import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
+	"math"
 	"os"
 	"sort"
+	"strings"
 )
 
 // Benchmark mirrors cmd/benchjson's entry format.
@@ -62,8 +67,8 @@ func main() {
 func run() error {
 	newFile := flag.String("new", "", "snapshot file to compare against the trajectory's last entry")
 	appendFile := flag.String("append", "", "snapshot file to append to the trajectory")
-	threshold := flag.Float64("threshold", 10, "ns/op increase (percent) that counts as a regression")
-	gate := flag.Bool("gate", false, "exit nonzero when a benchmark regresses past the threshold")
+	threshold := flag.Float64("threshold", 10, "ns/op increase (percent) that is warned about")
+	gate := flag.Bool("gate", false, "exit nonzero when a benchmark's B/op or allocs/op rises more than 5%")
 	flag.Parse()
 	if flag.NArg() != 1 {
 		return fmt.Errorf("usage: benchdiff [flags] TRAJECTORY")
@@ -78,9 +83,9 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	regressions := diff(prev, cur, *threshold)
-	if regressions > 0 && *gate {
-		return fmt.Errorf("%d benchmark(s) regressed more than %.0f%%", regressions, *threshold)
+	_, memRegressions := diff(os.Stdout, prev, cur, *threshold)
+	if memRegressions > 0 && *gate {
+		return fmt.Errorf("%d benchmark(s) allocate more than %.0f%% beyond the previous snapshot (B/op or allocs/op)", memRegressions, memThreshold)
 	}
 	return nil
 }
@@ -153,9 +158,27 @@ func pickPair(trajectory, newFile string) (prev, cur Report, err error) {
 	return base[len(base)-2], base[len(base)-1], nil
 }
 
-// diff prints the per-benchmark ns/op deltas and returns how many exceeded
-// the regression threshold.
-func diff(prev, cur Report, threshold float64) int {
+// memThreshold is the B/op or allocs/op rise, in percent, that counts as a
+// regression. Between snapshots of identical code both moved by under 1%.
+const memThreshold = 5.0
+
+// pctDelta is the percent change from old to cur. A rise from zero is
+// reported as +Inf, so a first allocation in an allocation-free benchmark
+// always counts as a regression.
+func pctDelta(old, cur float64) float64 {
+	switch {
+	case old == cur:
+		return 0
+	case old == 0:
+		return math.Inf(1)
+	}
+	return (cur - old) / old * 100
+}
+
+// diff prints the per-benchmark ns/op, B/op and allocs/op values with their
+// deltas and returns how many benchmarks exceeded the ns/op threshold and
+// how many exceeded the memory threshold on B/op or allocs/op.
+func diff(w io.Writer, prev, cur Report, threshold float64) (timeRegressions, memRegressions int) {
 	old := make(map[string]Benchmark, len(prev.Benchmarks))
 	for _, b := range prev.Benchmarks {
 		old[b.Name] = b
@@ -170,31 +193,57 @@ func diff(prev, cur Report, threshold float64) int {
 		byName[b.Name] = b
 	}
 
-	regressions := 0
+	fmt.Fprintf(w, "%-48s %14s %8s %14s %8s %11s %8s\n", "benchmark", "ns/op", "Δ", "B/op", "Δ", "allocs/op", "Δ")
 	for _, name := range names {
 		b := byName[name]
 		p, ok := old[name]
-		if !ok || p.NsPerOp == 0 {
-			fmt.Printf("%-48s %12.0f ns/op  (new)\n", name, b.NsPerOp)
+		if !ok {
+			fmt.Fprintf(w, "%-48s %14.0f %8s %14.0f %8s %11.0f %8s  (new)\n", name, b.NsPerOp, "", b.BytesPerOp, "", b.AllocsPerOp, "")
 			continue
 		}
-		delta := (b.NsPerOp - p.NsPerOp) / p.NsPerOp * 100
-		mark := ""
-		if delta > threshold {
-			mark = fmt.Sprintf("  REGRESSION (> %.0f%%)", threshold)
-			regressions++
+		dt := pctDelta(p.NsPerOp, b.NsPerOp)
+		db := pctDelta(p.BytesPerOp, b.BytesPerOp)
+		da := pctDelta(p.AllocsPerOp, b.AllocsPerOp)
+		var marks []string
+		// allocs/op is an integer quotient over a few runs, so one-time
+		// allocations amortized into it move it by one on small counts
+		// (Fig2DAGBuild read 11 and 12 on identical code); a rise of one
+		// is never a regression.
+		allocsUp := da > memThreshold && b.AllocsPerOp-p.AllocsPerOp > 1
+		if db > memThreshold || allocsUp {
+			marks = append(marks, fmt.Sprintf("MEM REGRESSION (> %.0f%%)", memThreshold))
+			memRegressions++
 		}
-		fmt.Printf("%-48s %12.0f -> %12.0f ns/op  %+7.1f%%%s\n", name, p.NsPerOp, b.NsPerOp, delta, mark)
+		if dt > threshold {
+			marks = append(marks, fmt.Sprintf("slower (> %.0f%%)", threshold))
+			timeRegressions++
+		}
+		mark := ""
+		if len(marks) > 0 {
+			mark = "  " + strings.Join(marks, ", ")
+		}
+		fmt.Fprintf(w, "%-48s %14.0f %+7.1f%% %14.0f %+7.1f%% %11.0f %+7.1f%%%s\n",
+			name, b.NsPerOp, dt, b.BytesPerOp, db, b.AllocsPerOp, da, mark)
 	}
+	var removed []string
 	for name := range old {
 		if _, ok := byName[name]; !ok {
-			fmt.Printf("%-48s (removed)\n", name)
+			removed = append(removed, name)
 		}
 	}
-	if regressions > 0 {
-		fmt.Printf("WARNING: %d benchmark(s) slower than the previous snapshot by more than %.0f%%\n", regressions, threshold)
-	} else {
-		fmt.Printf("ok: no benchmark regressed more than %.0f%% vs the previous snapshot\n", threshold)
+	sort.Strings(removed)
+	for _, name := range removed {
+		fmt.Fprintf(w, "%-48s (removed)\n", name)
 	}
-	return regressions
+	if memRegressions > 0 {
+		fmt.Fprintf(w, "REGRESSION: %d benchmark(s) allocate more than %.0f%% beyond the previous snapshot (B/op or allocs/op)\n", memRegressions, memThreshold)
+	} else {
+		fmt.Fprintf(w, "ok: no benchmark's B/op or allocs/op rose more than %.0f%%\n", memThreshold)
+	}
+	if timeRegressions > 0 {
+		fmt.Fprintf(w, "WARNING: %d benchmark(s) slower than the previous snapshot by more than %.0f%% ns/op (not gated: host-dependent)\n", timeRegressions, threshold)
+	} else {
+		fmt.Fprintf(w, "ok: no benchmark slowed more than %.0f%% ns/op\n", threshold)
+	}
+	return timeRegressions, memRegressions
 }

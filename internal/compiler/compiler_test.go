@@ -367,17 +367,17 @@ func TestQuickCompileCorrectness(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		gateSeen := make(map[int]bool)
+		gateSeen := make(map[int32]bool)
 		for _, op := range res.Ops {
 			switch op.Kind {
 			case machine.OpMove:
 				// Track by teleport (merge applies placement).
 			case machine.OpMerge:
-				if st.Teleport(op.Ion, op.Trap) != nil {
+				if st.Teleport(int(op.Ion), int(op.Trap)) != nil {
 					return false
 				}
 			case machine.OpGate2Q:
-				if st.IonTrap(op.Ion) != st.IonTrap(op.Ion2) {
+				if st.IonTrap(int(op.Ion)) != st.IonTrap(int(op.Ion2)) {
 					return false
 				}
 				if gateSeen[op.Gate] {

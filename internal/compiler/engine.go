@@ -3,6 +3,7 @@ package compiler
 import (
 	"context"
 	"fmt"
+	"math"
 	"time"
 
 	"muzzle/internal/circuit"
@@ -140,6 +141,9 @@ func (c *Compiler) CompileMappedContext(ctx context.Context, native *circuit.Cir
 	if err := native.Validate(); err != nil {
 		return nil, err
 	}
+	if len(native.Gates) > math.MaxInt32 {
+		return nil, fmt.Errorf("compiler: %d gates exceed the trace's int32 gate ids", len(native.Gates))
+	}
 	for i, g := range native.Gates {
 		if !circuit.IsNative(g.Name) {
 			return nil, fmt.Errorf("compiler: gate %d (%q) is not native; call Compile or Decompose first", i, g.Name)
@@ -152,9 +156,6 @@ func (c *Compiler) CompileMappedContext(ctx context.Context, native *circuit.Cir
 	if st.NumIons() < native.NumQubits {
 		return nil, fmt.Errorf("compiler: placement has %d ions, circuit needs %d", st.NumIons(), native.NumQubits)
 	}
-	// Every gate records at least one trace op and shuttles add a few more;
-	// reserving up front keeps slice-growth copies out of the hot loop.
-	st.ReserveOps(len(native.Gates) + len(native.Gates)/4)
 
 	e := &engine{
 		c:      c,
@@ -236,7 +237,9 @@ func (e *engine) run(res *Result) error {
 		case circuit.KindBarrier:
 			e.finish(active, &cursor, &reorderChain)
 		case circuit.Kind1Q, circuit.KindMeasure:
-			e.st.ApplyGate1Q(g.Name, g.Qubits[0], active)
+			if err := e.st.ApplyGate1Q(g.Name, g.Qubits[0], active); err != nil {
+				return err
+			}
 			e.finish(active, &cursor, &reorderChain)
 		case circuit.Kind2Q:
 			qa, qb := g.Qubits[0], g.Qubits[1]

@@ -74,7 +74,7 @@ func TestHoleShiftSkipsProtectedIons(t *testing.T) {
 			gateOp = op
 		}
 	}
-	if gateOp.Name == "" {
+	if gateOp.Name == machine.NoMnemonic {
 		t.Fatal("gate never executed")
 	}
 }

@@ -17,6 +17,7 @@ package machine
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"muzzle/internal/topo"
@@ -58,7 +59,7 @@ func PaperL6() Config {
 }
 
 // OpKind enumerates trace operations.
-type OpKind int
+type OpKind uint8
 
 const (
 	// OpGate1Q is a single-qubit gate executed inside a trap.
@@ -104,23 +105,64 @@ func (k OpKind) String() string {
 	}
 }
 
-// Op is one entry of the execution trace.
+// Mnemonic is a gate name interned in the closed table of native gates
+// that record trace ops. The zero value is NoMnemonic, carried by shuttle
+// ops.
+type Mnemonic uint8
+
+// The native gate mnemonics (barriers record no op, so they have none).
+const (
+	NoMnemonic Mnemonic = iota
+	MnemonicR
+	MnemonicRZ
+	MnemonicMS
+	MnemonicMeasure
+
+	numMnemonics
+)
+
+// mnemonicNames is the mnemonic table, indexed by Mnemonic.
+var mnemonicNames = [numMnemonics]string{"", "r", "rz", "ms", "measure"}
+
+// ParseMnemonic interns a native gate name. A name outside the table is an
+// error: the trace cannot name a gate the machine does not execute.
+func ParseMnemonic(name string) (Mnemonic, error) {
+	for m := NoMnemonic + 1; m < numMnemonics; m++ {
+		if mnemonicNames[m] == name {
+			return m, nil
+		}
+	}
+	return NoMnemonic, fmt.Errorf("machine: gate %q has no trace mnemonic (native: r, rz, ms, measure)", name)
+}
+
+// String returns the gate name; NoMnemonic renders as "".
+func (m Mnemonic) String() string {
+	if m < numMnemonics {
+		return mnemonicNames[m]
+	}
+	return fmt.Sprintf("Mnemonic(%d)", int(m))
+}
+
+// Op is one entry of the execution trace. It is 24 bytes and holds no
+// pointers, so a trace is one flat allocation the garbage collector never
+// scans. Ion, trap and gate ids are int32: a circuit or machine past 2^31
+// of any of them is rejected before it reaches the trace.
 type Op struct {
 	Kind OpKind
+	// Name is the gate mnemonic for gate ops; NoMnemonic for shuttle ops.
+	Name Mnemonic
 	// Ion is the primary ion operand (the moved/split/merged ion, the 1Q
 	// gate target, or the first 2Q operand).
-	Ion int
+	Ion int32
 	// Ion2 is the second 2Q operand or the swap partner; -1 otherwise.
-	Ion2 int
+	Ion2 int32
 	// Trap is the trap where the op happens (for OpMove, the source trap).
-	Trap int
+	Trap int32
 	// Trap2 is the destination trap for OpMove; -1 otherwise.
-	Trap2 int
+	Trap2 int32
 	// Gate is the index of the source-circuit gate for gate ops; -1 for
 	// shuttle ops.
-	Gate int
-	// Name is the gate mnemonic for gate ops.
-	Name string
+	Gate int32
 }
 
 // String renders the op compactly.
@@ -151,12 +193,28 @@ type State struct {
 	shuttles int
 }
 
+// minTraceOps is the trace's first capacity (24 KiB of ops).
+const minTraceOps = 1024
+
 // record appends one op to the trace, keeping the per-kind counters in sync.
 //
 //muzzle:hotpath
 func (s *State) record(o Op) {
+	if len(s.ops) == cap(s.ops) {
+		s.growOps()
+	}
 	s.ops = append(s.ops, o)
 	s.counts[o.Kind]++
+}
+
+// growOps doubles the trace's capacity, so the blocks a trace allocates add
+// up to less than twice its final capacity whatever the op count turns out
+// to be. The runtime's own growth for large slices is 1.25×, which
+// allocates several times the final trace.
+func (s *State) growOps() {
+	grown := make([]Op, len(s.ops), max(minTraceOps, 2*cap(s.ops)))
+	copy(grown, s.ops)
+	s.ops = grown
 }
 
 // NewState places ions into traps per placement (placement[t] lists the ions
@@ -175,6 +233,9 @@ func NewState(cfg Config, placement [][]int) (*State, error) {
 			return nil, fmt.Errorf("machine: trap %d loaded with %d ions, exceeds initial load limit %d", t, len(chain), cfg.MaxInitialLoad())
 		}
 		total += len(chain)
+	}
+	if total > math.MaxInt32 || len(placement) > math.MaxInt32 {
+		return nil, fmt.Errorf("machine: %d ions in %d traps exceed the trace's int32 ids", total, len(placement))
 	}
 	s := &State{
 		cfg:    cfg,
@@ -240,42 +301,41 @@ func (s *State) Ops() []Op { return s.ops }
 // OpCount returns the number of trace ops of kind k. Counters are maintained
 // incrementally on append, so the query is O(1) instead of a trace scan.
 func (s *State) OpCount(k OpKind) int {
-	if k < 0 || k >= numOpKinds {
+	if k >= numOpKinds {
 		return 0
 	}
 	return s.counts[k]
 }
 
-// ReserveOps grows the trace's capacity so at least n further ops can be
-// appended without reallocation. Callers that know the workload size (the
-// compiler engine knows the gate count) use it to keep the trace append
-// amortization out of the scheduling hot path.
-func (s *State) ReserveOps(n int) {
-	if free := cap(s.ops) - len(s.ops); free < n {
-		grown := make([]Op, len(s.ops), len(s.ops)+n)
-		copy(grown, s.ops)
-		s.ops = grown
-	}
-}
-
 // CoLocated reports whether two ions share a trap.
 func (s *State) CoLocated(a, b int) bool { return s.trapOf[a] == s.trapOf[b] }
 
-// ApplyGate1Q records a single-qubit gate (or measurement) on ion q.
-func (s *State) ApplyGate1Q(name string, q, gateIdx int) {
+// ApplyGate1Q records a single-qubit gate (or measurement) on ion q. The
+// name must be a native mnemonic (see ParseMnemonic).
+func (s *State) ApplyGate1Q(name string, q, gateIdx int) error {
+	m, err := ParseMnemonic(name)
+	if err != nil {
+		return err
+	}
 	kind := OpGate1Q
-	if name == "measure" {
+	if m == MnemonicMeasure {
 		kind = OpMeasure
 	}
-	s.record(Op{Kind: kind, Ion: q, Ion2: -1, Trap: s.trapOf[q], Trap2: -1, Gate: gateIdx, Name: name})
+	s.record(Op{Kind: kind, Name: m, Ion: int32(q), Ion2: -1, Trap: int32(s.trapOf[q]), Trap2: -1, Gate: int32(gateIdx)})
+	return nil
 }
 
-// ApplyGate2Q records a two-qubit gate; the ions must be co-located.
+// ApplyGate2Q records a two-qubit gate; the ions must be co-located and the
+// name a native mnemonic.
 func (s *State) ApplyGate2Q(name string, a, b, gateIdx int) error {
+	m, err := ParseMnemonic(name)
+	if err != nil {
+		return err
+	}
 	if s.trapOf[a] != s.trapOf[b] {
 		return fmt.Errorf("machine: 2Q gate %q on ions %d (T%d) and %d (T%d): not co-located", name, a, s.trapOf[a], b, s.trapOf[b])
 	}
-	s.record(Op{Kind: OpGate2Q, Ion: a, Ion2: b, Trap: s.trapOf[a], Trap2: -1, Gate: gateIdx, Name: name})
+	s.record(Op{Kind: OpGate2Q, Name: m, Ion: int32(a), Ion2: int32(b), Trap: int32(s.trapOf[a]), Trap2: -1, Gate: int32(gateIdx)})
 	return nil
 }
 
@@ -306,7 +366,7 @@ func (s *State) swapToEdge(q, to int) {
 		chain[p], chain[p+step] = chain[p+step], chain[p]
 		s.posOf[q] = p + step
 		s.posOf[other] = p
-		s.record(Op{Kind: OpSwap, Ion: q, Ion2: other, Trap: from, Trap2: -1, Gate: -1})
+		s.record(Op{Kind: OpSwap, Ion: int32(q), Ion2: int32(other), Trap: int32(from), Trap2: -1, Gate: -1})
 	}
 }
 
@@ -335,14 +395,14 @@ func (s *State) Hop(q, to int) error {
 	// SPLIT: remove from source chain.
 	chain := s.chains[from]
 	p := s.posOf[q]
-	s.record(Op{Kind: OpSplit, Ion: q, Ion2: -1, Trap: from, Trap2: -1, Gate: -1})
+	s.record(Op{Kind: OpSplit, Ion: int32(q), Ion2: -1, Trap: int32(from), Trap2: -1, Gate: -1})
 	copy(chain[p:], chain[p+1:])
 	s.chains[from] = chain[:len(chain)-1]
 	for i := p; i < len(s.chains[from]); i++ {
 		s.posOf[s.chains[from][i]] = i
 	}
 	// MOVE: one shuttle.
-	s.record(Op{Kind: OpMove, Ion: q, Ion2: -1, Trap: from, Trap2: to, Gate: -1})
+	s.record(Op{Kind: OpMove, Ion: int32(q), Ion2: -1, Trap: int32(from), Trap2: int32(to), Gate: -1})
 	s.shuttles++
 	// MERGE: insert at the edge facing the source.
 	dst := s.chains[to]
@@ -360,7 +420,7 @@ func (s *State) Hop(q, to int) error {
 		s.posOf[q] = len(s.chains[to]) - 1
 	}
 	s.trapOf[q] = to
-	s.record(Op{Kind: OpMerge, Ion: q, Ion2: -1, Trap: to, Trap2: -1, Gate: -1})
+	s.record(Op{Kind: OpMerge, Ion: int32(q), Ion2: -1, Trap: int32(to), Trap2: -1, Gate: -1})
 	return nil
 }
 

@@ -2,9 +2,11 @@ package machine
 
 import (
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"muzzle/internal/topo"
 )
@@ -198,8 +200,12 @@ func TestApplyGate2QRequiresCoLocation(t *testing.T) {
 
 func TestApplyGate1QAndMeasure(t *testing.T) {
 	s := mustState(t, twoTrapCfg(), [][]int{{0}, {1}})
-	s.ApplyGate1Q("r", 0, 0)
-	s.ApplyGate1Q("measure", 1, 1)
+	if err := s.ApplyGate1Q("r", 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.ApplyGate1Q("measure", 1, 1); err != nil {
+		t.Fatal(err)
+	}
 	ops := s.Ops()
 	if ops[0].Kind != OpGate1Q || ops[1].Kind != OpMeasure {
 		t.Fatalf("ops = %v", ops)
@@ -364,5 +370,95 @@ func TestQuickChainPositions(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestOpLayout guards the trace's memory layout: Op stays 24 bytes and
+// holds nothing the garbage collector must scan, so a trace of any length
+// is one flat, pointer-free allocation. A new field that is a pointer,
+// string, slice, map, channel, func or interface fails here.
+func TestOpLayout(t *testing.T) {
+	if got := unsafe.Sizeof(Op{}); got != 24 {
+		t.Errorf("unsafe.Sizeof(Op{}) = %d, want 24", got)
+	}
+	var walk func(path string, typ reflect.Type)
+	walk = func(path string, typ reflect.Type) {
+		switch typ.Kind() {
+		case reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				f := typ.Field(i)
+				walk(path+"."+f.Name, f.Type)
+			}
+		case reflect.Array:
+			walk(path+"[]", typ.Elem())
+		case reflect.Pointer, reflect.UnsafePointer, reflect.String, reflect.Slice,
+			reflect.Map, reflect.Chan, reflect.Func, reflect.Interface:
+			t.Errorf("%s is a %s: Op must stay pointer-free", path, typ.Kind())
+		}
+	}
+	walk("Op", reflect.TypeOf(Op{}))
+}
+
+func TestMnemonicTable(t *testing.T) {
+	for _, name := range []string{"r", "rz", "ms", "measure"} {
+		m, err := ParseMnemonic(name)
+		if err != nil {
+			t.Fatalf("ParseMnemonic(%q): %v", name, err)
+		}
+		if m == NoMnemonic || m.String() != name {
+			t.Errorf("ParseMnemonic(%q) = %d (%q)", name, m, m.String())
+		}
+	}
+	for _, name := range []string{"", "cx", "barrier", "R", "ms "} {
+		if m, err := ParseMnemonic(name); err == nil {
+			t.Errorf("ParseMnemonic(%q) = %v, want an error", name, m)
+		}
+	}
+	if NoMnemonic.String() != "" {
+		t.Errorf("NoMnemonic renders %q", NoMnemonic.String())
+	}
+	if s := Mnemonic(200).String(); s != "Mnemonic(200)" {
+		t.Errorf("out-of-table mnemonic renders %q", s)
+	}
+}
+
+func TestApplyGateRejectsUnknownMnemonic(t *testing.T) {
+	s := mustState(t, twoTrapCfg(), [][]int{{0, 1}, {2}})
+	if err := s.ApplyGate1Q("h", 0, 0); err == nil {
+		t.Error("1Q gate \"h\" recorded")
+	}
+	if err := s.ApplyGate2Q("cx", 0, 1, 1); err == nil {
+		t.Error("2Q gate \"cx\" recorded")
+	}
+	if n := len(s.Ops()); n != 0 {
+		t.Errorf("rejected gates left %d ops in the trace", n)
+	}
+}
+
+// TestTraceGrowsByDoubling pins the trace growth policy: a first block of
+// minTraceOps, then doubling, so the bytes copied while growing never
+// exceed the final trace.
+func TestTraceGrowsByDoubling(t *testing.T) {
+	s := mustState(t, twoTrapCfg(), [][]int{{0, 1}, {2}})
+	var caps []int
+	for i := 0; i < 5*minTraceOps; i++ {
+		if err := s.ApplyGate2Q("ms", 0, 1, i); err != nil {
+			t.Fatal(err)
+		}
+		if c := cap(s.Ops()); len(caps) == 0 || caps[len(caps)-1] != c {
+			caps = append(caps, c)
+		}
+	}
+	want := []int{minTraceOps, 2 * minTraceOps, 4 * minTraceOps, 8 * minTraceOps}
+	if !reflect.DeepEqual(caps, want) {
+		t.Errorf("trace capacities %v, want %v", caps, want)
+	}
+	if got := s.OpCount(OpGate2Q); got != 5*minTraceOps {
+		t.Errorf("OpCount(gate2q) = %d, want %d", got, 5*minTraceOps)
+	}
+	for i, op := range s.Ops() {
+		if int(op.Gate) != i {
+			t.Fatalf("op %d carries gate %d after growth", i, op.Gate)
+		}
 	}
 }

@@ -234,19 +234,20 @@ func SimulateContext(ctx context.Context, cfg machine.Config, initial [][]int, o
 				return nil, fmt.Errorf("sim: canceled at op %d/%d: %w", i, len(ops), err)
 			}
 		}
+		ion, ion2, trap, trap2 := int(op.Ion), int(op.Ion2), int(op.Trap), int(op.Trap2)
 		switch op.Kind {
 		case machine.OpGate1Q:
-			t := st.IonTrap(op.Ion)
+			t := st.IonTrap(ion)
 			advance(t, params.Time.Gate1Q)
 			rep.GateFidelities = append(rep.GateFidelities, acc.Add(params.Time.Gate1Q, heat.ChainN(t), st.Occupancy(t)))
 			rep.Gates1Q++
 		case machine.OpMeasure:
-			t := st.IonTrap(op.Ion)
+			t := st.IonTrap(ion)
 			advance(t, params.Time.Measure)
 			rep.Measures++
 		case machine.OpGate2Q:
-			t := st.IonTrap(op.Ion)
-			if st.IonTrap(op.Ion2) != t {
+			t := st.IonTrap(ion)
+			if st.IonTrap(ion2) != t {
 				return nil, fmt.Errorf("sim: op %d (%s): ions not co-located at replay", i, op)
 			}
 			dur := params.Time.Gate2Q(st.Occupancy(t))
@@ -254,7 +255,7 @@ func SimulateContext(ctx context.Context, cfg machine.Config, initial [][]int, o
 			rep.GateFidelities = append(rep.GateFidelities, acc.Add(dur, heat.ChainN(t), st.Occupancy(t)))
 			rep.Gates2Q++
 		case machine.OpSwap:
-			t := st.IonTrap(op.Ion)
+			t := st.IonTrap(ion)
 			advance(t, params.Time.Swap)
 			heat.Swap(t)
 			rep.Swaps++
@@ -263,26 +264,26 @@ func SimulateContext(ctx context.Context, cfg machine.Config, initial [][]int, o
 				return nil, fmt.Errorf("sim: op %d: %w", i, err)
 			}
 		case machine.OpSplit:
-			t := st.IonTrap(op.Ion)
+			t := st.IonTrap(ion)
 			advance(t, params.Time.Split)
-			heat.Split(t, op.Ion, st.Occupancy(t))
+			heat.Split(t, ion, st.Occupancy(t))
 			rep.Splits++
 		case machine.OpMove:
-			syncTraps(op.Trap, op.Trap2)
-			advance(op.Trap, params.Time.Move)
-			advance(op.Trap2, params.Time.Move)
-			heat.Move(op.Ion)
+			syncTraps(trap, trap2)
+			advance(trap, params.Time.Move)
+			advance(trap2, params.Time.Move)
+			heat.Move(ion)
 			rep.Shuttles++
 			// Apply the split+move+merge on the shadow state when the
 			// matching merge arrives; the machine Hop is atomic, so here we
 			// directly relocate on merge (below). Record nothing yet.
 		case machine.OpMerge:
-			t := op.Trap
+			t := trap
 			advance(t, params.Time.Merge)
-			if err := replayRelocate(st, op.Ion, t); err != nil {
+			if err := replayRelocate(st, ion, t); err != nil {
 				return nil, fmt.Errorf("sim: op %d: %w", i, err)
 			}
-			heat.Merge(t, op.Ion, st.Occupancy(t))
+			heat.Merge(t, ion, st.Occupancy(t))
 			rep.Merges++
 			if params.Cooling.Enabled && heat.ChainN(t) > params.Cooling.Threshold {
 				advance(t, params.Cooling.Time)
@@ -319,7 +320,7 @@ func replaySwap(st *machine.State, op machine.Op) error {
 	// The machine package has no public swap; emulate by checking the two
 	// ions share a trap — chain order does not affect occupancy-based
 	// timing, so a positional no-op is sound here.
-	if st.IonTrap(op.Ion) != st.IonTrap(op.Ion2) {
+	if st.IonTrap(int(op.Ion)) != st.IonTrap(int(op.Ion2)) {
 		return fmt.Errorf("swap operands in different traps: %s", op)
 	}
 	return nil

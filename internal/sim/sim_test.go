@@ -211,7 +211,7 @@ func TestSimulateErrors(t *testing.T) {
 		t.Error("bad placement accepted")
 	}
 	// A trace whose 2Q gate ions were never co-located must be rejected.
-	badOps := []machine.Op{{Kind: machine.OpGate2Q, Ion: 0, Ion2: 3, Trap: 0, Trap2: -1, Gate: 0, Name: "ms"}}
+	badOps := []machine.Op{{Kind: machine.OpGate2Q, Ion: 0, Ion2: 3, Trap: 0, Trap2: -1, Gate: 0, Name: machine.MnemonicMS}}
 	if _, err := Simulate(cfg, initial, badOps, DefaultParams()); err == nil {
 		t.Error("non-co-located 2Q gate accepted")
 	}

@@ -54,33 +54,34 @@ func WriteSVG(w io.Writer, res *compiler.Result, opt SVGOptions) error {
 		clock[trap] += dur
 	}
 	for _, op := range res.Ops {
+		ion, trap, trap2 := int(op.Ion), int(op.Trap), int(op.Trap2)
 		switch op.Kind {
 		case machine.OpGate1Q:
-			add(st.IonTrap(op.Ion), p.Gate1Q, op.Kind, op.Name)
+			add(st.IonTrap(ion), p.Gate1Q, op.Kind, op.Name.String())
 		case machine.OpMeasure:
-			add(st.IonTrap(op.Ion), p.Measure, op.Kind, "M")
+			add(st.IonTrap(ion), p.Measure, op.Kind, "M")
 		case machine.OpGate2Q:
-			t := st.IonTrap(op.Ion)
-			add(t, p.Gate2Q(st.Occupancy(t)), op.Kind, op.Name)
+			t := st.IonTrap(ion)
+			add(t, p.Gate2Q(st.Occupancy(t)), op.Kind, op.Name.String())
 		case machine.OpSwap:
-			add(st.IonTrap(op.Ion), p.Swap, op.Kind, "swap")
+			add(st.IonTrap(ion), p.Swap, op.Kind, "swap")
 		case machine.OpSplit:
-			add(st.IonTrap(op.Ion), p.Split, op.Kind, "split")
+			add(st.IonTrap(ion), p.Split, op.Kind, "split")
 		case machine.OpMove:
 			// Synchronize the two trap clocks, then draw the move on both.
-			m := clock[op.Trap]
-			if clock[op.Trap2] > m {
-				m = clock[op.Trap2]
+			m := clock[trap]
+			if clock[trap2] > m {
+				m = clock[trap2]
 			}
-			clock[op.Trap], clock[op.Trap2] = m, m
-			add(op.Trap, p.Move, op.Kind, "")
-			clock[op.Trap2] = m // add advanced only Trap
-			add(op.Trap2, p.Move, op.Kind, fmt.Sprintf("i%d", op.Ion))
+			clock[trap], clock[trap2] = m, m
+			add(trap, p.Move, op.Kind, "")
+			clock[trap2] = m // add advanced only Trap
+			add(trap2, p.Move, op.Kind, fmt.Sprintf("i%d", ion))
 		case machine.OpMerge:
-			if err := st.Teleport(op.Ion, op.Trap); err != nil {
+			if err := st.Teleport(ion, trap); err != nil {
 				return err
 			}
-			add(op.Trap, p.Merge, op.Kind, "merge")
+			add(trap, p.Merge, op.Kind, "merge")
 		}
 	}
 	makespan := 0.0

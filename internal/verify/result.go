@@ -97,7 +97,7 @@ func checkOrder(res *compiler.Result) []Violation {
 				Detail: "trace executes more gates than the recorded order lists"})
 			return vs
 		}
-		if op.Gate != want {
+		if int(op.Gate) != want {
 			vs = append(vs, Violation{Op: i, Kind: KindMetadata,
 				Detail: fmt.Sprintf("trace executes gate %d where the recorded order lists gate %d", op.Gate, want)})
 			return vs

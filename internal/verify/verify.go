@@ -310,8 +310,18 @@ func (r *replayer) chainIndex(ion int) int {
 	return -1
 }
 
+// wideOp is a trace op with its ids widened to int, so the replay compares
+// them against its own int bookkeeping without a conversion at each use.
+type wideOp struct {
+	Kind                         machine.OpKind
+	Name                         machine.Mnemonic
+	Ion, Ion2, Trap, Trap2, Gate int
+}
+
 // step replays one op, reporting every invariant it breaks.
-func (r *replayer) step(i int, op machine.Op) {
+func (r *replayer) step(i int, o machine.Op) {
+	op := wideOp{Kind: o.Kind, Name: o.Name, Ion: int(o.Ion), Ion2: int(o.Ion2),
+		Trap: int(o.Trap), Trap2: int(o.Trap2), Gate: int(o.Gate)}
 	switch op.Kind {
 	case machine.OpGate1Q, machine.OpMeasure:
 		r.stepGate1Q(i, op)
@@ -330,7 +340,7 @@ func (r *replayer) step(i int, op machine.Op) {
 	}
 }
 
-func (r *replayer) stepGate1Q(i int, op machine.Op) {
+func (r *replayer) stepGate1Q(i int, op wideOp) {
 	if !r.ionOK(i, op.Ion, "gate") || !r.trapOK(i, op.Trap, "gate") {
 		return
 	}
@@ -354,7 +364,7 @@ func (r *replayer) stepGate1Q(i int, op machine.Op) {
 	}
 }
 
-func (r *replayer) stepGate2Q(i int, op machine.Op) {
+func (r *replayer) stepGate2Q(i int, op wideOp) {
 	if !r.ionOK(i, op.Ion, "gate") || !r.ionOK(i, op.Ion2, "gate") || !r.trapOK(i, op.Trap, "gate") {
 		return
 	}
@@ -387,7 +397,7 @@ func (r *replayer) stepGate2Q(i int, op machine.Op) {
 // checkGate validates the op's source-gate reference (index, kind, name,
 // execute-once, DAG readiness) and marks it executed. It returns the source
 // gate when the reference itself is usable.
-func (r *replayer) checkGate(i int, op machine.Op, want circuit.GateKind) (circuit.Gate, bool) {
+func (r *replayer) checkGate(i int, op wideOp, want circuit.GateKind) (circuit.Gate, bool) {
 	if op.Gate < 0 || op.Gate >= len(r.circ.Gates) {
 		r.report(i, KindOrder, "op references gate %d outside circuit of %d gates", op.Gate, len(r.circ.Gates))
 		return circuit.Gate{}, false
@@ -396,7 +406,7 @@ func (r *replayer) checkGate(i int, op machine.Op, want circuit.GateKind) (circu
 	if k := g.Kind(); k != want {
 		r.report(i, KindOrder, "op executes gate %d as %v, source gate is %v", op.Gate, want, k)
 	}
-	if g.Name != op.Name {
+	if g.Name != op.Name.String() {
 		r.report(i, KindOrder, "op names gate %d %q, source gate is %q", op.Gate, op.Name, g.Name)
 	}
 	if r.executed[op.Gate] {
@@ -433,7 +443,7 @@ func (r *replayer) satisfied(p int) bool {
 	return true
 }
 
-func (r *replayer) stepSwap(i int, op machine.Op) {
+func (r *replayer) stepSwap(i int, op wideOp) {
 	if !r.ionOK(i, op.Ion, "swap") || !r.ionOK(i, op.Ion2, "swap") || !r.trapOK(i, op.Trap, "swap") {
 		return
 	}
@@ -450,7 +460,7 @@ func (r *replayer) stepSwap(i int, op machine.Op) {
 	chain[pa], chain[pb] = chain[pb], chain[pa]
 }
 
-func (r *replayer) stepSplit(i int, op machine.Op) {
+func (r *replayer) stepSplit(i int, op wideOp) {
 	if !r.ionOK(i, op.Ion, "split") || !r.trapOK(i, op.Trap, "split") {
 		return
 	}
@@ -475,7 +485,7 @@ func (r *replayer) stepSplit(i int, op machine.Op) {
 	r.phase[op.Ion] = split
 }
 
-func (r *replayer) stepMove(i int, op machine.Op) {
+func (r *replayer) stepMove(i int, op wideOp) {
 	if !r.ionOK(i, op.Ion, "move") || !r.trapOK(i, op.Trap, "move source") || !r.trapOK(i, op.Trap2, "move destination") {
 		return
 	}
@@ -519,7 +529,7 @@ func (r *replayer) stepMove(i int, op machine.Op) {
 	r.trapOf[op.Ion] = op.Trap2
 }
 
-func (r *replayer) stepMerge(i int, op machine.Op) {
+func (r *replayer) stepMerge(i int, op wideOp) {
 	if !r.ionOK(i, op.Ion, "merge") || !r.trapOK(i, op.Trap, "merge") {
 		return
 	}

@@ -1,6 +1,7 @@
 package verify
 
 import (
+	"strings"
 	"testing"
 
 	"muzzle/internal/baseline"
@@ -30,29 +31,38 @@ func nativeCirc() *circuit.Circuit {
 // placement3 spreads ions 0,1,2 over the three traps.
 func placement3() [][]int { return [][]int{{0}, {1}, {2}} }
 
+// mnemonic interns a native gate name, failing loudly on a typo.
+func mnemonic(name string) machine.Mnemonic {
+	m, err := machine.ParseMnemonic(name)
+	if err != nil {
+		panic(err)
+	}
+	return m
+}
+
 // gate1q builds a 1Q/measure op.
 func gate1q(name string, ion, trap, gate int) machine.Op {
 	kind := machine.OpGate1Q
 	if name == "measure" {
 		kind = machine.OpMeasure
 	}
-	return machine.Op{Kind: kind, Ion: ion, Ion2: -1, Trap: trap, Trap2: -1, Gate: gate, Name: name}
+	return machine.Op{Kind: kind, Name: mnemonic(name), Ion: int32(ion), Ion2: -1, Trap: int32(trap), Trap2: -1, Gate: int32(gate)}
 }
 
 func gate2q(a, b, trap, gate int) machine.Op {
-	return machine.Op{Kind: machine.OpGate2Q, Ion: a, Ion2: b, Trap: trap, Trap2: -1, Gate: gate, Name: "ms"}
+	return machine.Op{Kind: machine.OpGate2Q, Name: machine.MnemonicMS, Ion: int32(a), Ion2: int32(b), Trap: int32(trap), Trap2: -1, Gate: int32(gate)}
 }
 
 func splitOp(ion, trap int) machine.Op {
-	return machine.Op{Kind: machine.OpSplit, Ion: ion, Ion2: -1, Trap: trap, Trap2: -1, Gate: -1}
+	return machine.Op{Kind: machine.OpSplit, Ion: int32(ion), Ion2: -1, Trap: int32(trap), Trap2: -1, Gate: -1}
 }
 
 func moveOp(ion, from, to int) machine.Op {
-	return machine.Op{Kind: machine.OpMove, Ion: ion, Ion2: -1, Trap: from, Trap2: to, Gate: -1}
+	return machine.Op{Kind: machine.OpMove, Ion: int32(ion), Ion2: -1, Trap: int32(from), Trap2: int32(to), Gate: -1}
 }
 
 func mergeOp(ion, trap int) machine.Op {
-	return machine.Op{Kind: machine.OpMerge, Ion: ion, Ion2: -1, Trap: trap, Trap2: -1, Gate: -1}
+	return machine.Op{Kind: machine.OpMerge, Ion: int32(ion), Ion2: -1, Trap: int32(trap), Trap2: -1, Gate: -1}
 }
 
 // hop is the legal SPLIT MOVE MERGE sequence for one adjacent transfer.
@@ -207,13 +217,49 @@ func TestReplayOrderViolations(t *testing.T) {
 		wantKind(t, Replay(c, cfg, placement, ops), KindOrder)
 	})
 	t.Run("name mismatch", func(t *testing.T) {
+		// An rz op executing the r gate, right ion and trap: the op's
+		// mnemonic is the only thing wrong, and the only violation.
 		ops := []machine.Op{gate1q("rz", 0, 0, 0), gate1q("rz", 0, 0, 1)}
-		wantKind(t, Replay(c, cfg, placement, ops), KindOrder)
+		vs := Replay(c, cfg, placement, ops)
+		if len(vs) != 1 || vs[0].Kind != KindOrder || vs[0].Op != 0 ||
+			!strings.Contains(vs[0].Detail, `"rz"`) || !strings.Contains(vs[0].Detail, `source gate is "r"`) {
+			t.Fatalf("got %v, want one order violation at op 0 naming both mnemonics", vs)
+		}
 	})
 	t.Run("gate index out of range", func(t *testing.T) {
 		ops := []machine.Op{gate1q("r", 0, 0, 7), gate1q("rz", 0, 0, 1)}
 		wantKind(t, Replay(c, cfg, placement, ops), KindOrder)
 	})
+}
+
+// TestResultNameMismatch renames one gate op of a real compiled schedule to
+// every other mnemonic in turn; the verifier must flag exactly that op.
+func TestResultNameMismatch(t *testing.T) {
+	res, err := core.New().Compile(bench.Random(12, 40, 3), l3(6, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantClean(t, Result(res))
+	gateOp := -1
+	for i, op := range res.Ops {
+		if op.Kind == machine.OpGate2Q {
+			gateOp = i
+			break
+		}
+	}
+	if gateOp < 0 {
+		t.Fatal("schedule has no 2Q gate op")
+	}
+	orig := res.Ops[gateOp].Name
+	for _, m := range []machine.Mnemonic{machine.NoMnemonic, machine.MnemonicR, machine.MnemonicRZ, machine.MnemonicMeasure} {
+		res.Ops[gateOp].Name = m
+		vs := Result(res)
+		if len(vs) != 1 || vs[0].Kind != KindOrder || vs[0].Op != gateOp {
+			t.Errorf("2Q op renamed %q: got %v, want one order violation at op %d", m, vs, gateOp)
+		}
+	}
+	res.Ops[gateOp].Name = orig
+	wantClean(t, Result(res))
 }
 
 func TestReplayOperandAndWiring(t *testing.T) {
@@ -312,7 +358,7 @@ func TestReplayNeverPanics(t *testing.T) {
 	// A stream of structurally hostile ops: out-of-range ids everywhere.
 	hostile := []machine.Op{
 		{Kind: machine.OpMove, Ion: -4, Trap: -1, Trap2: 99, Gate: -1},
-		{Kind: machine.OpGate2Q, Ion: 99, Ion2: -1, Trap: 2, Gate: 100, Name: "ms"},
+		{Kind: machine.OpGate2Q, Ion: 99, Ion2: -1, Trap: 2, Gate: 100, Name: machine.MnemonicMS},
 		{Kind: machine.OpSwap, Ion: 0, Ion2: 0, Trap: 0, Gate: -1},
 		{Kind: machine.OpKind(42), Ion: 0, Trap: 0},
 		{Kind: machine.OpMerge, Ion: 1, Trap: 5, Gate: -1},
@@ -321,8 +367,10 @@ func TestReplayNeverPanics(t *testing.T) {
 		// Kind/arity mismatches: a 2Q op executing the 1Q source gate 1 and
 		// a 1Q op executing the 2Q source gate 0 (regression: the former
 		// indexed g.Qubits[1] out of range).
-		{Kind: machine.OpGate2Q, Ion: 0, Ion2: 1, Trap: 0, Gate: 1, Name: "ms"},
-		{Kind: machine.OpGate1Q, Ion: 2, Ion2: -1, Trap: 2, Gate: 0, Name: "r"},
+		{Kind: machine.OpGate2Q, Ion: 0, Ion2: 1, Trap: 0, Gate: 1, Name: machine.MnemonicMS},
+		{Kind: machine.OpGate1Q, Ion: 2, Ion2: -1, Trap: 2, Gate: 0, Name: machine.MnemonicR},
+		// A mnemonic outside the table.
+		{Kind: machine.OpGate1Q, Ion: 2, Ion2: -1, Trap: 2, Gate: 1, Name: machine.Mnemonic(200)},
 	}
 	if vs := Replay(c, cfg, placement3(), hostile); len(vs) == 0 {
 		t.Fatal("hostile stream verified clean")
